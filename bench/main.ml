@@ -497,6 +497,67 @@ let series_search ~fast () =
         sizes)
     suites
 
+(* Forward checking: the decoders that declare necessary node/edge
+   conditions, searched with them (the default) and with them cleared
+   (the oracle). Sequential, same classes; witnesses must agree on
+   every class. Labelings are the summed search tallies; cuts are the
+   filter_pruned_branches counter. n = 4 runs only in the full bench:
+   the cleared watermelon search alone takes about 2.5 min there.
+   Returns the rows for BENCH_search.json's forward_check array. *)
+let series_forward_check ~fast () =
+  Printf.printf
+    "\n== series: certificate search, forward-checked vs cleared conditions \
+     (tentpole)\n";
+  Printf.printf "%-12s %4s %8s %12s %12s %12s %12s %10s %10s\n" "decoder" "n"
+    "classes" "filtered(s)" "cleared(s)" "labelings" "cleared_lab" "cuts"
+    "identical";
+  let suites =
+    [
+      ("watermelon", D_watermelon.suite);
+      ("shatter", D_shatter.suite);
+      ("spanning", D_spanning.suite);
+    ]
+  in
+  let sizes = if fast then [ 3 ] else [ 3; 4 ] in
+  List.concat_map
+    (fun n ->
+      let classes =
+        List.filter
+          (fun g -> not (Coloring.is_bipartite g))
+          (Lcp_engine.Sweep.iso_classes n)
+      in
+      List.map
+        (fun (name, suite) ->
+          let run dec =
+            let cfg = Run_cfg.make ~jobs:1 () in
+            let res, wall =
+              time (fun () ->
+                  List.map
+                    (fun g ->
+                      let inst = Instance.make g in
+                      let alphabet = suite.Decoder.adversary_alphabet inst in
+                      Prover.search_accepted ~cfg dec ~alphabet inst)
+                    classes)
+            in
+            ( List.map fst res,
+              wall,
+              List.fold_left (fun a (_, t) -> a + t) 0 res,
+              Lcp_obs.Metrics.counter cfg.Run_cfg.metrics "filter_pruned_branches" )
+          in
+          let dec = suite.Decoder.dec in
+          let fw, f_s, f_lab, cuts = run dec in
+          let cw, c_s, c_lab, _ = run { dec with Decoder.conditions = None } in
+          let identical =
+            note_identical
+              ~where:(Printf.sprintf "forward-check %s n=%d" name n)
+              (fw = cw)
+          in
+          Printf.printf "%-12s %4d %8d %12.4f %12.4f %12d %12d %10d %10b\n" name n
+            (List.length classes) f_s c_s f_lab c_lab cuts identical;
+          (name, n, List.length classes, f_s, c_s, f_lab, c_lab, cuts, identical))
+        suites)
+    sizes
+
 (* The PR-9 tentpole series: certificate search quotiented by Aut(G)
    node-orbits (the default) vs the direct full-space search. Both
    paths run sequentially with the same acceptance-table setting and
@@ -679,8 +740,24 @@ let write_enumerate_json path rows =
       output_string oc "\n");
   Printf.printf "enumerate series written to %s\n" path
 
-let write_search_json path rows =
+let write_search_json path rows forward_rows =
   let ns s = int_of_float (s *. 1e9) in
+  let forward_row
+      (decoder, n, classes, filtered_s, cleared_s, labelings, cleared_labelings,
+       cuts, identical) =
+    Json.Obj
+      [
+        ("decoder", Json.String decoder);
+        ("n", Json.Int n);
+        ("classes", Json.Int classes);
+        ("filtered_wall_ns", Json.Int (ns filtered_s));
+        ("cleared_wall_ns", Json.Int (ns cleared_s));
+        ("labelings", Json.Int labelings);
+        ("cleared_labelings", Json.Int cleared_labelings);
+        ("filter_pruned_branches", Json.Int cuts);
+        ("identical", Json.Bool identical);
+      ]
+  in
   let row (decoder, n, classes, memo_s, direct_s, identical) =
     Json.Obj
       [
@@ -698,6 +775,7 @@ let write_search_json path rows =
         ("schema_version", Json.Int bench_schema_version);
         ("jobs", Json.Int 1);
         ("search", Json.List (List.map row rows));
+        ("forward_check", Json.List (List.map forward_row forward_rows));
       ]
   in
   let oc = open_out path in
@@ -1358,6 +1436,7 @@ let () =
   series_engine_dedup ~fast ();
   let enumerate_rows = series_enumerate ~fast () in
   let search_rows = series_search ~fast () in
+  let forward_rows = series_forward_check ~fast () in
   let orbit_rows = series_orbit ~fast () in
   let orbit_shards = series_orbit_shards ~fast () in
   let sweep_rows = series_engine_sweep ~fast () in
@@ -1380,7 +1459,7 @@ let () =
     enumerate_rows;
   write_search_json
     (Filename.concat (Filename.dirname metrics_out) "BENCH_search.json")
-    search_rows;
+    search_rows forward_rows;
   write_orbit_json
     (Filename.concat (Filename.dirname metrics_out) "BENCH_orbit.json")
     (orbit_rows, orbit_shards);

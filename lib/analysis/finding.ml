@@ -4,6 +4,7 @@ type kind =
   | Id_variance
   | Port_variance
   | Nondeterminism
+  | Filter_unsound
 
 type severity = Error | Warning | Info
 
@@ -20,6 +21,7 @@ let kind_to_string = function
   | Id_variance -> "id-variance"
   | Port_variance -> "port-variance"
   | Nondeterminism -> "nondeterminism"
+  | Filter_unsound -> "filter-unsound"
 
 let kind_of_string = function
   | "radius-violation" -> Some Radius_violation
@@ -27,6 +29,7 @@ let kind_of_string = function
   | "id-variance" -> Some Id_variance
   | "port-variance" -> Some Port_variance
   | "nondeterminism" -> Some Nondeterminism
+  | "filter-unsound" -> Some Filter_unsound
   | _ -> None
 
 let severity_to_string = function

@@ -15,6 +15,10 @@ type kind =
       (** verdicts changed under a re-drawn port assignment *)
   | Nondeterminism
       (** verdicts differed between repeated or [jobs=1] vs [jobs=N] runs *)
+  | Filter_unsound
+      (** an accepting node violates one of the decoder's declared
+          necessary conditions, so the forward-checked search could
+          cut an accepted labeling *)
 
 type severity = Error | Warning | Info
 

@@ -41,17 +41,20 @@ let lint_entry ~cfg ~max_n ~samples (e : Registry.entry) =
       let port_reads = ref 0 in
       let cert_read = ref 0 in
       let cert_declared = ref 0 in
-      List.iter
-        (fun (it : Corpus.item) ->
-          let m = Probe.measure dec it.Corpus.inst in
-          evals := !evals + Array.length m.Probe.verdicts;
-          observed_radius := max !observed_radius m.Probe.observed_radius;
-          id_reads := !id_reads + m.Probe.id_reads;
-          port_reads := !port_reads + m.Probe.port_reads;
-          cert_read := max !cert_read m.Probe.max_label_bits;
-          cert_declared :=
-            max !cert_declared (suite.Decoder.cert_bits it.Corpus.inst))
-        corpus;
+      let verdicts =
+        List.map
+          (fun (it : Corpus.item) ->
+            let m = Probe.measure dec it.Corpus.inst in
+            evals := !evals + Array.length m.Probe.verdicts;
+            observed_radius := max !observed_radius m.Probe.observed_radius;
+            id_reads := !id_reads + m.Probe.id_reads;
+            port_reads := !port_reads + m.Probe.port_reads;
+            cert_read := max !cert_read m.Probe.max_label_bits;
+            cert_declared :=
+              max !cert_declared (suite.Decoder.cert_bits it.Corpus.inst);
+            (it, m.Probe.verdicts))
+          corpus
+      in
       let trace_findings =
         List.concat
           [
@@ -87,8 +90,15 @@ let lint_entry ~cfg ~max_n ~samples (e : Registry.entry) =
       let det_findings =
         Determinism.check ~jobs:cfg.Run_cfg.jobs ~decoder:key dec corpus
       in
+      (* its own stream: the audit's redraws must not shift the
+         invariance samples above *)
+      let filter_findings =
+        Filter_audit.check ~jobs:cfg.Run_cfg.jobs ~max_n ~rng:(Run_cfg.rng cfg)
+          ~decoder:key suite verdicts
+      in
       let findings =
         trace_findings @ id_findings @ port_findings @ det_findings
+        @ filter_findings
       in
       Run_cfg.count cfg ~by:!evals "lint/evals";
       Run_cfg.count cfg ~by:(List.length findings) "lint/findings";

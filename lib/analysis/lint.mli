@@ -6,8 +6,9 @@
     {!Lcp.Run_cfg}), trace every evaluation with {!Probe} (radius and
     certificate-taint facts), raise trace findings against the entry's
     declared {!Lcp.Decoder.contract}, then run the behavioral passes —
-    {!Invariance} for the symmetries the contract claims, and
-    {!Determinism} (repeat + [jobs=1] vs [jobs=N] pool comparison).
+    {!Invariance} for the symmetries the contract claims,
+    {!Determinism} (repeat + [jobs=1] vs [jobs=N] pool comparison), and
+    {!Filter_audit} for the necessary conditions the decoder declares.
 
     Every number in the report is a function of [(seed, max_n,
     samples)] alone: the corpus order is fixed, RNG consumption is

@@ -125,9 +125,47 @@ let accepts view =
                     comp' = comp && color' <> color)
               neighbors)
 
+(* Necessary conditions read off [accepts], for the forward-checked
+   search: a parse failure rejects on either side of an edge, a
+   shatter point carries its own id (rule 1); across an edge both ends
+   name the same shatter point, and the type-adjacency rules hold —
+   type 0 sees only type 1 (rule 1), type 1 sees no type 1 and only
+   type-2 colours matching its vector (rule 2), type 2 sees no type 0,
+   matching vectors and same-component opposite colours (rule 3). *)
+let colour_matches colors ~comp ~color =
+  comp <= Array.length colors && colors.(comp - 1) = color
+
+let conditions =
+  let node_ok (inst : Instance.t) u = function
+    | None -> false
+    | Some (Shatter { id }) -> id = Ident.id inst.Instance.ids u
+    | Some (Neighbor _ | Component _) -> true
+  in
+  let edge_ok _ _ mine _ theirs =
+    match (mine, theirs) with
+    | None, _ | _, None -> false
+    | Some mine, Some theirs -> (
+        cert_id mine = cert_id theirs
+        &&
+        match (mine, theirs) with
+        | Shatter _, Neighbor _ -> true
+        | Shatter _, (Shatter _ | Component _) -> false
+        | Neighbor _, Neighbor _ -> false
+        | Neighbor { colors; _ }, Component { comp; color; _ }
+        | Component { comp; color; _ }, Neighbor { colors; _ } ->
+            colour_matches colors ~comp ~color
+        | Neighbor _, Shatter _ -> true
+        | Component _, Shatter _ -> false
+        | Component { comp; color; _ }, Component { comp = comp'; color = color'; _ }
+          ->
+            comp' = comp && color' <> color)
+  in
+  Decoder.Conditions
+    { parse; node_ok = Some node_ok; edge_ok = Some edge_ok }
+
 let decoder =
-  Decoder.make ~port_invariant:true ~name:"shatter" ~radius:1 ~anonymous:false
-    accepts
+  Decoder.make ~port_invariant:true ~conditions ~name:"shatter" ~radius:1
+    ~anonymous:false accepts
 
 let prover (inst : Instance.t) =
   let g = inst.Instance.graph in

@@ -37,9 +37,28 @@ let accepts view =
         in
         proper && same_root && layered && rooted)
 
+(* Necessary conditions read off [accepts], for the forward-checked
+   search: a parse failure rejects on either side of an edge, a node
+   claiming distance 0 carries the root id; across an edge the colours
+   differ, the roots agree and the distances differ by exactly one. *)
+let conditions =
+  let node_ok (inst : Instance.t) u = function
+    | None -> false
+    | Some c -> c.dist <> 0 || Ident.id inst.Instance.ids u = c.root
+  in
+  let edge_ok _ _ mine _ theirs =
+    match (mine, theirs) with
+    | Some mine, Some c ->
+        c.color <> mine.color && c.root = mine.root
+        && abs (c.dist - mine.dist) = 1
+    | _ -> false
+  in
+  Decoder.Conditions
+    { parse; node_ok = Some node_ok; edge_ok = Some edge_ok }
+
 let decoder =
-  Decoder.make ~port_invariant:true ~name:"spanning-2-col" ~radius:1
-    ~anonymous:false accepts
+  Decoder.make ~port_invariant:true ~conditions ~name:"spanning-2-col"
+    ~radius:1 ~anonymous:false accepts
 
 let prover (inst : Instance.t) =
   let g = inst.Instance.graph in

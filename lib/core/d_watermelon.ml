@@ -179,7 +179,51 @@ let accepts view =
                 check 1 w1 fp1 c1 && check 2 w2 fp2 c2
             | _ -> false))
 
-let decoder = Decoder.make ~name:"watermelon" ~radius:1 ~anonymous:false accepts
+(* Necessary conditions read off [accepts], for the forward-checked
+   search: a parse failure rejects on either side of an edge, an
+   endpoint carries its own id (2(a)), a path node has degree 2
+   (3(a)); across an edge both ends claim the same id pair
+   (condition 1), an endpoint's neighbor is a path node pointing back
+   at the endpoint's port (2(b)), and a path node's neighbor agrees on
+   the far port and — endpoint or path node — on identity, path
+   number, back pointer and edge colour (3(b), 3(c)). *)
+let conditions =
+  let node_ok (inst : Instance.t) u = function
+    | None -> false
+    | Some (Endpoint { id1; id2 }) ->
+        let id = Ident.id inst.Instance.ids u in
+        id = id1 || id = id2
+    | Some (Path_node _) -> Graph.degree inst.Instance.graph u = 2
+  in
+  let edge_ok (inst : Instance.t) u mine w theirs =
+    match (mine, theirs) with
+    | None, _ | _, None -> false
+    | Some mine, Some theirs -> (
+        ids_of mine = ids_of theirs
+        &&
+        let ports = inst.Instance.ports in
+        let my_port = Port.port_of ports u w and far_port = Port.port_of ports w u in
+        match (mine, theirs) with
+        | Endpoint _, Endpoint _ -> false
+        | Endpoint _, Path_node { far; _ } ->
+            far_port <= 2 && far.(far_port - 1) = my_port
+        | Path_node { far; _ }, _ when my_port > 2 || far.(my_port - 1) <> far_port
+          ->
+            false
+        | Path_node { id1; id2; _ }, Endpoint _ ->
+            let wid = Ident.id inst.Instance.ids w in
+            wid = id1 || wid = id2
+        | Path_node { num; col; _ }, Path_node { num = num'; far = far'; col = col'; _ }
+          ->
+            num' = num && far_port <= 2
+            && far'.(far_port - 1) = my_port
+            && col'.(far_port - 1) = col.(my_port - 1))
+  in
+  Decoder.Conditions
+    { parse; node_ok = Some node_ok; edge_ok = Some edge_ok }
+
+let decoder =
+  Decoder.make ~conditions ~name:"watermelon" ~radius:1 ~anonymous:false accepts
 
 let prover (inst : Instance.t) =
   let g = inst.Instance.graph in

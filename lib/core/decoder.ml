@@ -1,16 +1,46 @@
 open Lcp_graph
 open Lcp_local
 
+type 'c checks = {
+  parse : string -> 'c;
+  node_ok : (Instance.t -> int -> 'c -> bool) option;
+  edge_ok : (Instance.t -> int -> 'c -> int -> 'c -> bool) option;
+}
+
+type conditions = Conditions : 'c checks -> conditions
+
 type t = {
   name : string;
   radius : int;
   anonymous : bool;
   port_invariant : bool;
   accepts : View.t -> bool;
+  conditions : conditions option;
 }
 
-let make ?(port_invariant = false) ~name ~radius ~anonymous accepts =
-  { name; radius; anonymous; port_invariant; accepts }
+let make ?(port_invariant = false) ?conditions ~name ~radius ~anonymous
+    accepts =
+  { name; radius; anonymous; port_invariant; accepts; conditions }
+
+let node_ok t inst u s =
+  match t.conditions with
+  | Some (Conditions { parse; node_ok = Some ok; _ }) -> ok inst u (parse s)
+  | _ -> true
+
+let edge_ok t inst u s w s' =
+  match t.conditions with
+  | Some (Conditions { parse; edge_ok = Some ok; _ }) ->
+      ok inst u (parse s) w (parse s')
+  | _ -> true
+
+let violated_condition t (inst : Instance.t) u =
+  let l = inst.Instance.labels in
+  if not (node_ok t inst u l.(u)) then Some "node_ok"
+  else
+    Graph.find_neighbor
+      (fun w -> not (edge_ok t inst u l.(u) w l.(w)))
+      inst.Instance.graph u
+    |> Option.map (fun w -> Printf.sprintf "edge_ok towards node %d" w)
 
 let run t inst = Array.map t.accepts (View.extract_all inst ~r:t.radius)
 

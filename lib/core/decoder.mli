@@ -9,6 +9,39 @@
 open Lcp_graph
 open Lcp_local
 
+(** {1 Necessary conditions}
+
+    A decoder may declare cheap {e necessary} conditions for its own
+    acceptance, read straight off its [accepts]: a unary check on a
+    node's own certificate (given the node's id and degree), and a
+    pairwise check across each incident edge (given both certificates,
+    both ids and the edge's two ports). They are never sufficient —
+    [accepts] stays the only verdict — but they let the certificate
+    search ({!Prover}) cut a branch the moment a node is assigned,
+    instead of waiting for its ball to be fully labeled.
+
+    Soundness of the cut rests on one contract: whenever node [u]
+    accepts, [node_ok inst u (parse l_u)] holds and [edge_ok inst u
+    (parse l_u) w (parse l_w)] holds for every neighbor [w]. [lcp lint]
+    verifies it (the [filter-unsound] finding), and clearing the
+    conditions ([{ dec with conditions = None }]) gives the unfiltered
+    search, the oracle the filtered one is differentially tested
+    against. *)
+
+type 'c checks = {
+  parse : string -> 'c;
+      (** interns a certificate once per search; the checks below only
+          ever see parsed values *)
+  node_ok : (Instance.t -> int -> 'c -> bool) option;
+      (** [node_ok inst u c]: [u] can accept only if its own
+          certificate [c] passes *)
+  edge_ok : (Instance.t -> int -> 'c -> int -> 'c -> bool) option;
+      (** [edge_ok inst u c w d]: [u] labeled [c] can accept only if
+          this holds for its neighbor [w] labeled [d] *)
+}
+
+type conditions = Conditions : 'c checks -> conditions
+
 type t = {
   name : string;
   radius : int;
@@ -21,15 +54,28 @@ type t = {
           pruning ({!Lcp_engine.Auto}); defaults to [false] — reading
           ports is the norm in this library. *)
   accepts : View.t -> bool;
+  conditions : conditions option;
+      (** declared necessary conditions; [None] (the default) means
+          the search prunes on completed balls only *)
 }
 
 val make :
   ?port_invariant:bool ->
+  ?conditions:conditions ->
   name:string ->
   radius:int ->
   anonymous:bool ->
   (View.t -> bool) ->
   t
+
+val violated_condition : t -> Instance.t -> int -> string option
+(** On the instance's own labels: [Some what] when node [u] fails its
+    declared unary condition or the pairwise condition towards some
+    neighbor ([what] names which), [None] when every declared
+    condition at [u] holds (always, when none is declared). If [u]
+    accepts the instance, [Some _] is a breach of the contract above.
+    Parses on every call: for audits and tests, not for the search's
+    inner loop. *)
 
 val run : t -> Instance.t -> bool array
 (** Per-node verdicts. *)

@@ -165,33 +165,118 @@ let acquire_cache dec ~alphabet inst =
     ~key:(share_key dec ~alphabet inst)
     ~radius:dec.Decoder.radius ~accepts:dec.Decoder.accepts ~alphabet inst
 
+(* Forward checking against the decoder's declared necessary
+   conditions ({!Decoder.checks}): the moment step [i] assigns node
+   [v], cut the branch if [v] fails its unary condition, or if the
+   pairwise condition fails in either direction across an edge to an
+   already-assigned neighbor — each direction only for a node whose
+   rejection cuts ([reject_covered]). A failed necessary condition
+   means that node rejects in every completion, so only branches with
+   no accepted completion are lost: witnesses, counts and verdicts
+   equal the unfiltered search's. The alphabet is parsed once, and
+   each condition is evaluated at most once per (node, rank) or
+   (directed edge, rank pair): memo bytes are 0 unknown, 1 pass,
+   2 fail. [rk.(j)] is the alphabet rank at step [j]. *)
+let forward_checks dec ~alphabet (inst : Instance.t) ~order ~rk ~reject_covered
+    =
+  match dec.Decoder.conditions with
+  | None -> None
+  | Some (Decoder.Conditions c) ->
+      let g = inst.Instance.graph in
+      let n = Array.length order in
+      let parsed = Array.of_list (List.map c.Decoder.parse alphabet) in
+      let m = Array.length parsed in
+      let covered = Array.init n reject_covered in
+      let memo tbl key eval =
+        match Bytes.unsafe_get tbl key with
+        | '\001' -> true
+        | '\002' -> false
+        | _ ->
+            let ok = eval () in
+            Bytes.unsafe_set tbl key (if ok then '\001' else '\002');
+            ok
+      in
+      let node_fails =
+        match c.Decoder.node_ok with
+        | None -> fun _ _ -> false
+        | Some ok ->
+            let tbl = Bytes.make (n * m) '\000' in
+            fun v k ->
+              covered.(v)
+              && not (memo tbl ((v * m) + k) (fun () -> ok inst v parsed.(k)))
+      in
+      let edge_fails =
+        match c.Decoder.edge_ok with
+        | None -> fun _ _ -> false
+        | Some ok ->
+            let step_of = Array.make n 0 in
+            Array.iteri (fun i v -> step_of.(v) <- i) order;
+            (* per step: the earlier-assigned neighbors, each with its
+               two directed-edge tables (allocated on first use) *)
+            let earlier =
+              Array.map
+                (fun v ->
+                  Graph.fold_neighbors
+                    (fun w acc ->
+                      if step_of.(w) < step_of.(v) then
+                        (w, step_of.(w), ref Bytes.empty, ref Bytes.empty)
+                        :: acc
+                      else acc)
+                    g v []
+                  |> List.rev |> Array.of_list)
+                order
+            in
+            let check tbl u ku w kw =
+              if Bytes.length !tbl = 0 then tbl := Bytes.make (m * m) '\000';
+              memo !tbl ((ku * m) + kw) (fun () ->
+                  ok inst u parsed.(ku) w parsed.(kw))
+            in
+            fun i k ->
+              let v = order.(i) in
+              Array.exists
+                (fun (w, j, v_to_w, w_to_v) ->
+                  let kw = rk.(j) in
+                  (covered.(v) && not (check v_to_w v k w kw))
+                  || (covered.(w) && not (check w_to_v w kw v k)))
+                earlier.(i)
+      in
+      Some (fun i -> node_fails order.(i) rk.(i) || edge_fails i rk.(i))
+
 let iter_pruned ?tally ?sym ?cfg dec ~alphabet (inst : Instance.t)
     ~reject_covered f =
   let g = inst.Instance.graph in
   let r = dec.Decoder.radius in
   let order = ball_completion_order g ~r in
   let schedule = coverage_schedule g ~r ~order in
+  (* [rk.(i)] holds the alphabet rank of the symbol currently at step
+     [i]: the prune re-runs on every (re)assignment, so reads of
+     earlier steps always see the current value — one string hash per
+     assignment, none inside the orbit walks or the forward checks.
+     Only paid when one of those two is active. *)
+  let rk = Array.make (max (Array.length order) 1) 0 in
+  let filter = forward_checks dec ~alphabet inst ~order ~rk ~reject_covered in
+  let rank =
+    if sym = None && filter = None then None
+    else begin
+      let rank : (string, int) Hashtbl.t = Hashtbl.create 8 in
+      List.iteri
+        (fun i s -> if not (Hashtbl.mem rank s) then Hashtbl.add rank s i)
+        alphabet;
+      Some rank
+    end
+  in
   (* symmetry breaking: cut a branch as soon as the just-assigned node
      violates one of its orbit constraints — every completion shares
      the violation, so only non-orbit-minimal labelings are lost.
-     Cuts are tallied locally and flushed into the metrics in one
-     batch at the end: a per-cut [Run_cfg.count] would take the
-     registry lock inside the hottest loop of the search. *)
-  let sym_cuts = ref 0 in
+     Cuts (orbit and filter alike) are tallied locally and flushed into
+     the metrics in one batch at the end: a per-cut [Run_cfg.count]
+     would take the registry lock inside the hottest loop of the
+     search. *)
+  let sym_cuts = ref 0 and filter_cuts = ref 0 in
   let sym_rejects =
     match sym with
-    | None -> fun _ _ -> false
+    | None -> fun _ -> false
     | Some progs ->
-        let rank : (string, int) Hashtbl.t = Hashtbl.create 8 in
-        List.iteri
-          (fun i s -> if not (Hashtbl.mem rank s) then Hashtbl.add rank s i)
-          alphabet;
-        (* [rk.(e)] holds the rank of the symbol currently at step [e]:
-           the prune re-runs on every (re)assignment, so reads of
-           earlier steps always see the current value — one string
-           hash per assignment, none inside the program walks. *)
-        let steps = Array.length order in
-        let rk = Array.make (max steps 1) 0 in
         let np = Array.length progs in
         (* programs arrive sorted by activation step (the first step
            at which a walk can be conclusive), so the scan stops at
@@ -203,8 +288,7 @@ let iter_pruned ?tally ?sym ?cfg dec ~alphabet (inst : Instance.t)
               max s e)
             progs
         in
-        fun i (partial : Labeling.t) ->
-          rk.(i) <- Hashtbl.find rank partial.(order.(i));
+        fun i ->
           let cut = ref false in
           let pi = ref 0 in
           while (not !cut) && !pi < np && act.(!pi) <= i do
@@ -252,8 +336,15 @@ let iter_pruned ?tally ?sym ?cfg dec ~alphabet (inst : Instance.t)
   in
   let prune i partial =
     (match tally with Some t -> incr t | None -> ());
-    if sym_rejects i partial then begin
+    (match rank with
+    | Some rank -> rk.(i) <- Hashtbl.find rank partial.(order.(i))
+    | None -> ());
+    if sym_rejects i then begin
       incr sym_cuts;
+      true
+    end
+    else if match filter with Some fails -> fails i | None -> false then begin
+      incr filter_cuts;
       true
     end
     else
@@ -269,9 +360,12 @@ let iter_pruned ?tally ?sym ?cfg dec ~alphabet (inst : Instance.t)
     (* report cut/hit/miss tallies even when the search exits early,
        then hand a pooled cache back *)
     (match cfg with
-    | Some c when !sym_cuts > 0 ->
-        Run_cfg.count c ~by:!sym_cuts "orbit_pruned_branches"
-    | _ -> ());
+    | Some c ->
+        if !sym_cuts > 0 then
+          Run_cfg.count c ~by:!sym_cuts "orbit_pruned_branches";
+        if !filter_cuts > 0 then
+          Run_cfg.count c ~by:!filter_cuts "filter_pruned_branches"
+    | None -> ());
     count_eval_stats cfg lease;
     Option.iter Lcp_engine.Eval_cache.release lease
   in
@@ -296,7 +390,9 @@ let search_accepted ?cfg dec ~alphabet inst =
   let tally = ref 0 in
   let sym = orbit_constraints ?cfg dec inst in
   (match cfg with
-  | Some c -> Run_cfg.count c ~by:0 "orbit_pruned_branches"
+  | Some c ->
+      Run_cfg.count c ~by:0 "orbit_pruned_branches";
+      Run_cfg.count c ~by:0 "filter_pruned_branches"
   | None -> ());
   let exception Found of Labeling.t in
   let witness =

@@ -37,7 +37,18 @@
     shrinks, deterministically per setting, with the cut branches
     reported as [orbit_pruned_branches]. {!iter_accepted} /
     {!count_accepted} enumerate {e all} accepted labelings and are
-    never orbit-pruned. *)
+    never orbit-pruned.
+
+    Every entry point also forward-checks the decoder's declared
+    necessary conditions ({!Decoder.checks}), when it declares any: the
+    moment a node is assigned, the branch is cut if that node fails its
+    unary condition, or if the pairwise condition fails in either
+    direction against an already-assigned neighbor (each direction only
+    for nodes whose rejection cuts). A cut node rejects in every
+    completion, so accepted labelings, witnesses and verdicts are those
+    of the same decoder with [conditions = None] — the oracle; only the
+    tally shrinks, and the cuts are reported as
+    [filter_pruned_branches]. *)
 
 open Lcp_local
 

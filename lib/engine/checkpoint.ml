@@ -147,21 +147,14 @@ let of_json j =
       }
 
 (* ------------------------------------------------------------------ *)
-(* disk discipline: write-to-tmp then rename, same as Sink             *)
+(* disk discipline: Sink's write-to-tmp, flush, then rename            *)
 
 let save ?now ~path t =
   let saved_at =
     match now with Some s -> s | None -> int_of_float (Unix.time ())
   in
-  let t = { t with saved_at } in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty (to_json t));
-      output_char oc '\n');
-  Sys.rename tmp path
+  Lcp_obs.Sink.write_atomic path
+    (Json.to_string_pretty (to_json { t with saved_at }))
 
 let load path =
   match

@@ -76,9 +76,12 @@ val to_json : t -> Lcp_obs.Json.t
 val of_json : Lcp_obs.Json.t -> (t, string) result
 
 val save : ?now:int -> path:string -> t -> unit
-(** Atomic write: serialize to [path ^ ".tmp"], then rename over
-    [path] — a kill mid-write leaves the previous checkpoint intact
-    (the same discipline {!Lcp_obs.Sink} uses). Stamps [saved_at]
+(** Atomic write through {!Lcp_obs.Sink.write_atomic}: serialize to
+    [path ^ ".tmp"], flush, then rename over [path] — a kill mid-write
+    leaves the previous checkpoint intact, and a failed write (e.g.
+    ENOSPC on the final flush) raises [Sys_error] before the rename,
+    so it does too. No fsync: a machine crash may still lose the
+    rename. Stamps [saved_at]
     with [now] (default: the current epoch second), so every write
     doubles as a liveness heartbeat. *)
 

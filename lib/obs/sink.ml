@@ -27,16 +27,21 @@ let stderr_progress =
    rename over [path]: rename is atomic on POSIX, so a tailer (or a
    reader racing a crash) always sees either the previous complete
    document or the new complete document — never a torn or
-   half-buffered final line. *)
+   half-buffered final line. A failed write (short write, ENOSPC on
+   the final flush) raises the write's own [Sys_error] — closing in
+   the body, not in a [Fun.protect] finaliser that would re-flush and
+   wrap it in [Finally_raised] — and never reaches the rename, so
+   [path] keeps its last complete document. *)
 let write_atomic path content =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc content;
-      output_char oc '\n';
-      flush oc);
+  (try
+     output_string oc content;
+     output_char oc '\n';
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     raise e);
   Sys.rename tmp path
 
 let write_metrics path m =

@@ -39,7 +39,9 @@ val json_file : string -> t
 
 val write_atomic : string -> string -> unit
 (** [write_atomic path content] writes [content ^ "\n"] to [path] via
-    the flush-then-rename protocol {!json_file} uses. *)
+    the flush-then-rename protocol {!json_file} uses. A failed write
+    raises its [Sys_error] without renaming, leaving [path] as it was
+    (the temp file may remain). *)
 
 val tee : t -> t -> t
 (** Both sinks see every event and every flush, left first. *)

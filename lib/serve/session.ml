@@ -106,7 +106,8 @@ let parse_graph spec =
    temperature-dependent cache counters are reported separately. *)
 let work_counter_names =
   [
-    "labelings_checked"; "orbit_pruned_branches"; "candidates_generated";
+    "labelings_checked"; "orbit_pruned_branches"; "filter_pruned_branches";
+    "candidates_generated";
     "connected"; "classes"; "dedup_hits"; "kept"; "checked"; "passed";
     "violations";
   ]

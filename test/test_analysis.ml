@@ -57,6 +57,20 @@ let port_peeker =
 let port_entry =
   Registry.entry ~port_invariant:true "bad-port-peeker" (bad_suite port_peeker)
 
+(* Declares a necessary condition that is not necessary: "only the
+   root (distance 0) can accept", on the real spanning decoder and
+   suite. Honest non-root nodes accept and break it. *)
+let over_strict_spanning =
+  let node_ok _ _ fields =
+    match fields with [ _; _; "0" ] -> true | _ -> false
+  in
+  let conditions =
+    Decoder.Conditions
+      { Decoder.parse = Certificate.fields; node_ok = Some node_ok; edge_ok = None }
+  in
+  let dec = { D_spanning.decoder with Decoder.conditions = Some conditions } in
+  Registry.entry "bad-over-strict-spanning" { D_spanning.suite with Decoder.dec }
+
 (* ------------------------------------------------------------------ *)
 (* trace plumbing                                                      *)
 
@@ -158,6 +172,18 @@ let test_port_peeker_flagged () =
   check_bool "port variance found" true
     (findings_of_kind Lcp_analysis.Finding.Port_variance report <> [])
 
+let test_over_strict_filter_flagged () =
+  let report = lint [ over_strict_spanning ] in
+  match findings_of_kind Lcp_analysis.Finding.Filter_unsound report with
+  | [] -> Alcotest.fail "over-strict condition not flagged"
+  | fs ->
+      check_bool "it is a violation" true
+        (List.for_all Lcp_analysis.Finding.is_violation fs);
+      (* both sources catch it: the corpus and the ball enumeration *)
+      check_int "one finding per source" 2 (List.length fs);
+      check_bool "no other kind" true
+        (List.length (Lcp_analysis.Lint.findings report) = List.length fs)
+
 let test_distinct_kinds () =
   let report = lint [ deep_entry; id_entry ] in
   let kinds =
@@ -218,4 +244,6 @@ let suite =
     case "lint: report JSON parses back" test_report_json_roundtrip;
     case "lint: report identical for jobs=1 and jobs=4"
       test_report_deterministic_across_jobs;
+    case "lint: over-strict necessary condition is filter-unsound"
+      test_over_strict_filter_flagged;
   ]

@@ -476,6 +476,38 @@ let test_checkpoint_merge_validation () =
                 m.Checkpoint.kept
           | Error msg -> Alcotest.fail msg))
 
+(* A save whose final flush fails (ENOSPC: the temp file is a symlink
+   to /dev/full) must raise and must not rename the truncated temp file
+   over the last good checkpoint. *)
+let test_checkpoint_write_error () =
+  let path = Filename.temp_file "lcp_ck" "_full.json" in
+  let tmp = path ^ ".tmp" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; tmp ])
+    (fun () ->
+      ignore
+        (Sweep.run
+           ~checkpoint:{ Checkpoint.path; resume = false; tag = "full" }
+           ~n:4 ~check:(fun _ -> None) ());
+      let good = read () in
+      let ck =
+        match Checkpoint.load path with Ok c -> c | Error msg -> Alcotest.fail msg
+      in
+      (* the bytes on disk are the pretty document plus a newline *)
+      Alcotest.(check string) "file bytes"
+        (Lcp_obs.Json.to_string_pretty (Checkpoint.to_json ck) ^ "\n")
+        good;
+      Unix.symlink "/dev/full" tmp;
+      (match
+         Checkpoint.save ~path
+           { ck with Checkpoint.completed = 0; complete = false }
+       with
+      | () -> Alcotest.fail "save into a full device did not raise"
+      | exception Sys_error _ -> ());
+      Alcotest.(check string) "previous checkpoint byte-identical" good (read ()))
+
 (* ------------------------------------------------------------------ *)
 (* heavy regressions: n = 7, n = 8                                     *)
 
@@ -558,4 +590,6 @@ let suite =
     slow_case "853 classes on n=7 (LCP_HEAVY)" test_n7_classes;
     slow_case "11117 classes on n=8 (LCP_HEAVY)" test_n8_frontier;
     slow_case "261080 classes on n=9 (LCP_HEAVY)" test_n9_frontier;
+    case "checkpoint write error keeps the last good file"
+      test_checkpoint_write_error;
   ]

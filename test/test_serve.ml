@@ -391,6 +391,37 @@ let test_server_matches_direct_sweeps () =
             (List.map (fun k -> (k, 4)) Lcp.Registry.keys
             @ [ ("degree-one", 5) ])))
 
+(* The forward-check cut counter of the identifier-carrying decoders:
+   a served sweep and the served shards of a 2-way split (summed)
+   report the direct run's filter_pruned_branches. *)
+let test_server_filter_counter () =
+  with_server (fun socket _t ->
+      Client.with_connection socket (fun c ->
+          List.iter
+            (fun key ->
+              let entry = Option.get (Lcp.Registry.find key) in
+              let cfg = Run_cfg.make ~jobs:1 () in
+              ignore (Lcp.Checker.soundness_sweep ~cfg entry.Lcp.Registry.suite ~n:4);
+              let direct = Metrics.counter cfg.Run_cfg.metrics "filter_pruned_branches" in
+              check_bool (key ^ ": the filter cuts at n=4") true (direct > 0);
+              let served = expect_done (request_exn c (sweep_req key 4)) in
+              check_int (key ^ ": served filter_pruned_branches") direct
+                (get_int served [ "counters"; "filter_pruned_branches" ]);
+              let shard i =
+                let req =
+                  {
+                    Protocol.kind =
+                      Protocol.Sweep_shard
+                        { decoder = key; n = 4; strategy = "orderly"; shards = 2; shard = i };
+                    opts = Protocol.default_opts;
+                  }
+                in
+                get_int (expect_done (request_exn c req)) [ "counters"; "filter_pruned_branches" ]
+              in
+              check_int (key ^ ": served shards sum to the direct run") direct
+                (shard 0 + shard 1))
+            [ "watermelon"; "shatter"; "spanning" ]))
+
 let test_server_matches_direct_check () =
   with_server (fun socket _t ->
       Client.with_connection socket (fun c ->
@@ -644,4 +675,6 @@ let suite =
     slow_case "server: identical in-flight requests coalesce" test_coalescing;
     case "server: interim events stream" test_interim_events;
     case "server: metrics and clean shutdown" test_server_metrics_and_shutdown;
+    case "server: filter cut counter matches direct and sharded runs"
+      test_server_filter_counter;
   ]
